@@ -158,7 +158,11 @@ std::optional<gsi::CertificateChain> CrossBroker::chain_for(UserId user) const {
 }
 
 void CrossBroker::add_site(lrms::Site& site) {
-  sites_.insert_or_assign(site.id(), &site);
+  const auto [it, inserted] = sites_.try_emplace(site.id(), &site);
+  if (!inserted) {
+    total_worker_nodes_ -= it->second->config().worker_nodes;
+    it->second = &site;
+  }
   if (trust_anchor_ != nullptr) {
     site.gatekeeper().set_trust_anchor(trust_anchor_);
   }
@@ -168,9 +172,8 @@ void CrossBroker::add_site(lrms::Site& site) {
   });
   site.set_interactive_vm_counter(
       [this, site_id] { return advertised_interactive_vms(site_id); });
-  int total = 0;
-  for (const auto& [id, s] : sites_) total += s->config().worker_nodes;
-  fair_share_.set_total_resources(std::max(total, 1));
+  total_worker_nodes_ += site.config().worker_nodes;
+  fair_share_.set_total_resources(std::max(total_worker_nodes_, 1));
 }
 
 Expected<JobId, SubmitError> CrossBroker::submit(jdl::JobDescription description,
@@ -467,13 +470,13 @@ void CrossBroker::schedule_job(JobId id) {
   if (desc.is_interactive() &&
       desc.machine_access() == jdl::MachineAccess::kShared) {
     int free_vms = 0;
-    for (auto* agent : agents_.agents()) {
+    for (glidein::GlideinAgent& agent : agents_.all()) {
       // Hard-excluded sites offer no VMs either: shared-mode placement
       // follows the same suspicion window as external matchmaking.
-      if (site_health_.hard_excluded(agent->site())) continue;
-      const auto info = agent_info_.find(agent->id());
+      if (site_health_.hard_excluded(agent.site())) continue;
+      const auto info = agent_info_.find(agent.id());
       if (info == agent_info_.end()) continue;
-      free_vms += info->second.reservable_slots(*agent);
+      free_vms += info->second.reservable_slots(agent);
     }
     if (free_vms >= desc.node_number() &&
         desc.flavor() != jdl::JobFlavor::kMpichP4) {
@@ -487,8 +490,7 @@ void CrossBroker::schedule_job(JobId id) {
       for (const auto& [site_id, site] : sites_) {
         if (site_health_.hard_excluded(site_id)) continue;
         int site_vms = 0;
-        for (auto* agent : agents_.agents()) {
-          if (agent->site() != site_id) continue;
+        for (glidein::GlideinAgent* agent : agents_.agents_at(site_id)) {
           const auto info = agent_info_.find(agent->id());
           if (info == agent_info_.end()) continue;
           site_vms += info->second.reservable_slots(*agent);
@@ -679,8 +681,7 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
       if (site_health_.hard_excluded(site_id)) continue;
       int takeable = 0;
       std::vector<std::pair<glidein::GlideinAgent*, AgentInfo*>> donors;
-      for (auto* agent : agents_.agents()) {
-        if (agent->site() != site_id) continue;
+      for (glidein::GlideinAgent* agent : agents_.agents_at(site_id)) {
         const auto info = agent_info_.find(agent->id());
         if (info == agent_info_.end()) continue;
         const int slots = info->second.reservable_slots(*agent);
@@ -704,17 +705,17 @@ void CrossBroker::place_job(JobId id, std::vector<Candidate> candidates,
     }
   }
   if (shared && desc.flavor() != jdl::JobFlavor::kMpichP4) {
-    for (auto* agent : agents_.agents()) {
+    for (glidein::GlideinAgent& agent : agents_.all()) {
       if (still_needed == 0) break;
-      if (site_health_.hard_excluded(agent->site())) continue;
-      const auto info = agent_info_.find(agent->id());
+      if (site_health_.hard_excluded(agent.site())) continue;
+      const auto info = agent_info_.find(agent.id());
       if (info == agent_info_.end()) continue;
       // With a multiprogramming degree above 1, one agent can host several
       // subjobs at once; take as many reservable slots as still needed.
-      int takeable = info->second.reservable_slots(*agent);
+      int takeable = info->second.reservable_slots(agent);
       while (takeable > 0 && still_needed > 0) {
         assignments.push_back(
-            Assignment{agent->site(), Assignment::Kind::kVm, agent->id()});
+            Assignment{agent.site(), Assignment::Kind::kVm, agent.id()});
         // Reserve against concurrent placements in this event cascade.
         info->second.pending_interactive.push_back(id);
         --takeable;
@@ -1453,10 +1454,9 @@ bool CrossBroker::agent_suspected(AgentId id) const {
   return it != agent_info_.end() && it->second.suspected;
 }
 
-int CrossBroker::advertised_interactive_vms(SiteId site) {
+int CrossBroker::advertised_interactive_vms(SiteId site) const {
   int n = 0;
-  for (glidein::GlideinAgent* agent : agents_.agents()) {
-    if (agent->site() != site) continue;
+  for (const glidein::GlideinAgent* agent : agents_.agents_at(site)) {
     const auto it = agent_info_.find(agent->id());
     if (it != agent_info_.end() && it->second.suspected) continue;
     n += agent->free_interactive_slots();

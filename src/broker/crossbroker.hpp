@@ -219,7 +219,8 @@ public:
 
   /// Free interactive VM slots on a site as the broker advertises them:
   /// suspected agents do not count (they may be dead behind the partition).
-  [[nodiscard]] int advertised_interactive_vms(SiteId site);
+  /// Walks only the site's own agents (AgentRegistry::agents_at).
+  [[nodiscard]] int advertised_interactive_vms(SiteId site) const;
 
 private:
   struct ManagedJob {
@@ -421,6 +422,8 @@ private:
   BrokerMetrics metrics_;
 
   std::map<SiteId, lrms::Site*> sites_;
+  /// Sum of worker_nodes over sites_, kept as sites are added (fair share).
+  int total_worker_nodes_ = 0;
   std::map<JobId, std::unique_ptr<ManagedJob>> jobs_;
   std::map<AgentId, AgentInfo> agent_info_;
   /// Supervision deadline buckets: tick time -> agents due then. A std::set

@@ -6,11 +6,17 @@ GlideinAgent& AgentRegistry::create(SiteId site, GlideinAgentConfig config) {
   const AgentId id = ids_.next();
   auto agent = std::make_unique<GlideinAgent>(sim_, id, site, config);
   auto [it, inserted] = agents_.emplace(id, std::move(agent));
+  by_site_[site].push_back(it->second.get());
   return *it->second;
 }
 
 void AgentRegistry::remove(AgentId id) {
-  agents_.erase(id);
+  const auto it = agents_.find(id);
+  if (it == agents_.end()) return;
+  const auto bucket = by_site_.find(it->second->site());
+  std::erase(bucket->second, it->second.get());
+  if (bucket->second.empty()) by_site_.erase(bucket);
+  agents_.erase(it);
 }
 
 GlideinAgent* AgentRegistry::find(AgentId id) {
@@ -25,26 +31,10 @@ GlideinAgent* AgentRegistry::find_by_carrier(JobId job) {
   return nullptr;
 }
 
-GlideinAgent* AgentRegistry::find_free_interactive_vm() {
-  for (auto& [id, agent] : agents_) {
-    if (agent->interactive_vm_free()) return agent.get();
-  }
-  return nullptr;
-}
-
-GlideinAgent* AgentRegistry::find_free_interactive_vm(SiteId site) {
-  for (auto& [id, agent] : agents_) {
-    if (agent->site() == site && agent->interactive_vm_free()) return agent.get();
-  }
-  return nullptr;
-}
-
-int AgentRegistry::free_interactive_vms(SiteId site) const {
-  int n = 0;
-  for (const auto& [id, agent] : agents_) {
-    if (agent->site() == site) n += agent->free_interactive_slots();
-  }
-  return n;
+std::span<GlideinAgent* const> AgentRegistry::agents_at(SiteId site) const {
+  const auto it = by_site_.find(site);
+  if (it == by_site_.end()) return {};
+  return it->second;
 }
 
 int AgentRegistry::running_agents() const {
@@ -53,13 +43,6 @@ int AgentRegistry::running_agents() const {
     if (agent->state() == AgentState::kRunning) ++n;
   }
   return n;
-}
-
-std::vector<GlideinAgent*> AgentRegistry::agents() {
-  std::vector<GlideinAgent*> out;
-  out.reserve(agents_.size());
-  for (auto& [id, agent] : agents_) out.push_back(agent.get());
-  return out;
 }
 
 }  // namespace cg::glidein

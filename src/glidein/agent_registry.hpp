@@ -6,6 +6,9 @@
 
 #include <map>
 #include <memory>
+#include <ranges>
+#include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "glidein/agent.hpp"
@@ -26,21 +29,31 @@ public:
   /// The agent whose carrier LRMS job is `job`, if any.
   [[nodiscard]] GlideinAgent* find_by_carrier(JobId job);
 
-  /// A running agent with a free interactive-vm, preferring the given site
-  /// ordering; nullptr if none exists anywhere.
-  [[nodiscard]] GlideinAgent* find_free_interactive_vm();
-  [[nodiscard]] GlideinAgent* find_free_interactive_vm(SiteId site);
+  /// The agents bound to `site`, in agent-id order; empty for a site with
+  /// none. A site snapshot walks only these, so its cost does not grow with
+  /// the rest of the grid. Invalidated by create() and remove().
+  [[nodiscard]] std::span<GlideinAgent* const> agents_at(SiteId site) const;
+  /// Number of sites with at least one agent (one index bucket each).
+  [[nodiscard]] std::size_t sites_with_agents() const { return by_site_.size(); }
 
-  [[nodiscard]] int free_interactive_vms(SiteId site) const;
   [[nodiscard]] int total_agents() const { return static_cast<int>(agents_.size()); }
   [[nodiscard]] int running_agents() const;
 
-  [[nodiscard]] std::vector<GlideinAgent*> agents();
+  /// Every agent in id order, as a view over the registry (no copy).
+  [[nodiscard]] auto all() const {
+    return agents_ | std::views::transform(
+                         [](const auto& entry) -> GlideinAgent& {
+                           return *entry.second;
+                         });
+  }
 
 private:
   sim::Simulation& sim_;
   IdGenerator<AgentId> ids_;
   std::map<AgentId, std::unique_ptr<GlideinAgent>> agents_;
+  /// Per-site index over agents_: ids are issued in increasing order, so
+  /// appending keeps each bucket sorted by id. Empty buckets are erased.
+  std::unordered_map<SiteId, std::vector<GlideinAgent*>> by_site_;
 };
 
 }  // namespace cg::glidein

@@ -52,12 +52,12 @@ struct SiteDynamicInfo {
 
 struct SiteRecord {
   /// The machine view of a record, built once per publication and shared by
-  /// every copy of the record the information system hands out.
+  /// every copy of the record the information system hands out. Only the
+  /// fast path reads it; the legacy path builds its ad with to_classad().
   struct MachineView {
     SiteStaticInfo static_info;    ///< inputs the view was built from
     SiteDynamicInfo dynamic_info;
     jdl::SlotValues slots;         ///< attribute values in layout order
-    jdl::ClassAd ad;               ///< equivalent ClassAd (legacy path/tests)
   };
 
   SiteStaticInfo static_info;

@@ -4,8 +4,11 @@
 // recovery, and MPI co-allocation.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "broker/grid_scenario.hpp"
 #include "broker/workload_generator.hpp"
+#include "sim/fault.hpp"
 
 namespace cg::broker {
 namespace {
@@ -566,6 +569,18 @@ TEST_F(BrokerFixture, OutputSandboxDelaysCompletion) {
   EXPECT_GT(out_total, plain_total + 0.1);
 }
 
+TEST_F(BrokerFixture, FairShareTotalIsTheSumOfWorkerNodes) {
+  GridScenarioConfig config = default_config();
+  config.customize_site = [](int index, lrms::SiteConfig& site) {
+    site.worker_nodes = 1 + 2 * index;  // 1, 3, 5
+  };
+  GridScenario grid{config};
+  EXPECT_EQ(grid.broker().fair_share().config().total_resources, 9);
+  // Registering a site again replaces it; its nodes are not counted twice.
+  grid.broker().add_site(grid.site(1));
+  EXPECT_EQ(grid.broker().fair_share().config().total_resources, 9);
+}
+
 TEST_F(BrokerFixture, HeterogeneousGridRespectsRequirements) {
   // Sites 0-1 are i686, site 2 is x86_64; a job demanding x86_64 must land
   // on site 2 every time.
@@ -907,6 +922,97 @@ TEST_F(BrokerFixture, SubmitValidation) {
   EXPECT_EQ(refused.error().kind, SubmitErrorKind::kBadDescription);
   EXPECT_EQ(refused.error().cause.code, "broker.invalid_user");
   EXPECT_EQ(grid.broker().record(JobId{999}), nullptr);
+}
+
+/// Free interactive VMs on `site` by a scan of the whole registry, without
+/// the per-site index: every agent in the grid, filtered by site, suspected
+/// agents skipped. The oracle for advertised VM counts.
+int recount_free_interactive_vms(CrossBroker& broker, SiteId site) {
+  int n = 0;
+  for (const glidein::GlideinAgent& agent : broker.agents().all()) {
+    if (agent.site() != site) continue;
+    if (broker.agent_suspected(agent.id())) continue;
+    n += agent.free_interactive_slots();
+  }
+  return n;
+}
+
+TEST_F(BrokerFixture, SiteSnapshotVmCountsMatchFullRegistryRecount) {
+  GridScenarioConfig config;
+  config.sites = 4;
+  config.nodes_per_site = 3;
+  config.broker.running_job_grace = 30_s;
+  config.broker.resubmit_interactive_on_agent_death = true;
+  GridScenario grid{config};
+
+  // Every snapshot the grid takes (publications and fresh site queries)
+  // goes through the counter; check each one against the oracle.
+  std::uint64_t checked = 0;
+  std::uint64_t nonzero = 0;
+  for (std::size_t s = 0; s < grid.site_count(); ++s) {
+    const SiteId site = grid.site(s).id();
+    grid.site(s).set_interactive_vm_counter([&grid, &checked, &nonzero, site] {
+      const int advertised = grid.broker().advertised_interactive_vms(site);
+      EXPECT_EQ(advertised, recount_free_interactive_vms(grid.broker(), site))
+          << "site " << site << " at " << grid.sim().now();
+      ++checked;
+      if (advertised > 0) ++nonzero;
+      return advertised;
+    });
+  }
+
+  WorkloadGeneratorConfig load;
+  load.batch_interarrival = 90_s;
+  load.batch_runtime = 400_s;
+  load.interactive_interarrival = 120_s;
+  load.interactive_runtime = 200_s;
+  load.horizon = SimTime::from_seconds(3000);
+  load.seed = 5;
+  WorkloadGenerator generator{grid.sim(), grid.broker(), load};
+  generator.start();
+
+  // Seeded outages on every broker<->site link: missed heartbeats suspect
+  // agents, and restored links clear them again.
+  sim::FaultInjector injector{grid.sim(), &grid.network()};
+  sim::FaultPlan plan;
+  for (std::size_t s = 0; s < grid.site_count(); ++s) {
+    sim::FaultPlan::RandomLinkFaultOptions options;
+    options.endpoint_a = grid.broker().endpoint();
+    options.endpoint_b = grid.site(s).endpoint();
+    options.outages = 3;
+    options.horizon = SimTime::from_seconds(2500.0);
+    options.min_outage = Duration::seconds(40);
+    options.max_outage = Duration::seconds(90);
+    const sim::FaultPlan outages =
+        sim::FaultPlan::random_link_outages(17 + s, options);
+    for (const sim::FaultSpec& spec : outages.events()) {
+      plan.partition_link(spec.endpoint_a, spec.endpoint_b,
+                          spec.at + Duration::seconds(200), spec.duration);
+    }
+  }
+  injector.arm(plan);
+
+  std::set<AgentId> seen;
+  int suspected_observations = 0;
+  for (int t = 5; t <= 5000; t += 5) {
+    grid.sim().run_until(SimTime::from_seconds(t));
+    for (const glidein::GlideinAgent& agent : grid.broker().agents().all()) {
+      seen.insert(agent.id());
+      if (grid.broker().agent_suspected(agent.id())) ++suspected_observations;
+    }
+    for (std::size_t s = 0; s < grid.site_count(); ++s) {
+      EXPECT_EQ(grid.site(s).snapshot().dynamic_info.free_interactive_vms,
+                recount_free_interactive_vms(grid.broker(), grid.site(s).id()));
+    }
+  }
+
+  // The run exercised what the index must track: agents came and went,
+  // some were suspected, and sites advertised free VMs.
+  EXPECT_GT(seen.size(), 10u);
+  EXPECT_LT(grid.broker().agents().total_agents(), static_cast<int>(seen.size()));
+  EXPECT_GT(suspected_observations, 0);
+  EXPECT_GT(checked, 1000u);
+  EXPECT_GT(nonzero, 0u);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // agent lifecycle, slot management, and the registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "glidein/agent_registry.hpp"
 
 namespace cg::glidein {
@@ -385,26 +388,117 @@ TEST(AgentRegistryTest, FindByCarrier) {
   EXPECT_EQ(registry.find_by_carrier(JobId{43}), nullptr);
 }
 
+/// Free interactive-vm slots over the agents the index lists for `site`.
+int free_vms_at(const AgentRegistry& registry, SiteId site) {
+  int n = 0;
+  for (const GlideinAgent* agent : registry.agents_at(site)) {
+    n += agent->free_interactive_slots();
+  }
+  return n;
+}
+
 TEST(AgentRegistryTest, FreeInteractiveVmQueries) {
   sim::Simulation sim;
   AgentRegistry registry{sim};
   GlideinAgent& a = registry.create(SiteId{1});
   GlideinAgent& b = registry.create(SiteId{2});
-  EXPECT_EQ(registry.find_free_interactive_vm(), nullptr);  // none running
+  EXPECT_EQ(free_vms_at(registry, SiteId{1}), 0);  // none running
   a.on_carrier_started(NodeId{1});
   b.on_carrier_started(NodeId{1});
   sim.run();
   EXPECT_EQ(registry.running_agents(), 2);
-  EXPECT_NE(registry.find_free_interactive_vm(), nullptr);
-  EXPECT_EQ(registry.find_free_interactive_vm(SiteId{2}), &b);
-  EXPECT_EQ(registry.free_interactive_vms(SiteId{1}), 1);
+  EXPECT_EQ(free_vms_at(registry, SiteId{1}), 1);
+  EXPECT_EQ(free_vms_at(registry, SiteId{2}), 1);
 
   SlotJob job;
   job.id = JobId{1};
   job.workload = lrms::Workload::cpu(Duration::seconds(100));
   ASSERT_TRUE(b.start_interactive_job(std::move(job), 0).ok());
-  EXPECT_EQ(registry.find_free_interactive_vm(SiteId{2}), nullptr);
-  EXPECT_EQ(registry.free_interactive_vms(SiteId{2}), 0);
+  EXPECT_FALSE(b.interactive_vm_free());
+  EXPECT_EQ(free_vms_at(registry, SiteId{2}), 0);
+  EXPECT_EQ(free_vms_at(registry, SiteId{1}), 1);
+}
+
+/// Ids of the agents the per-site index lists for `site`, in index order.
+std::vector<AgentId> ids_at(const AgentRegistry& registry, SiteId site) {
+  std::vector<AgentId> out;
+  for (const GlideinAgent* agent : registry.agents_at(site)) {
+    out.push_back(agent->id());
+  }
+  return out;
+}
+
+/// The same list recomputed from the whole registry (the oracle).
+std::vector<AgentId> ids_by_scan(const AgentRegistry& registry, SiteId site) {
+  std::vector<AgentId> out;
+  for (const GlideinAgent& agent : registry.all()) {
+    if (agent.site() == site) out.push_back(agent.id());
+  }
+  return out;
+}
+
+TEST(AgentRegistryTest, AgentsAtTracksCreateAndRemoveInIdOrder) {
+  sim::Simulation sim;
+  AgentRegistry registry{sim};
+  const SiteId sites[] = {SiteId{3}, SiteId{1}, SiteId{2}};
+  std::vector<AgentId> created;
+  // Interleave sites so each bucket's ids are not contiguous.
+  for (int i = 0; i < 12; ++i) {
+    created.push_back(registry.create(sites[i % 3]).id());
+  }
+  const auto check_all = [&] {
+    for (const SiteId site : sites) {
+      const std::vector<AgentId> ids = ids_at(registry, site);
+      EXPECT_EQ(ids, ids_by_scan(registry, site)) << "site " << site;
+      EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end())) << "site " << site;
+    }
+  };
+  check_all();
+  EXPECT_EQ(ids_at(registry, SiteId{3}),
+            (std::vector<AgentId>{created[0], created[3], created[6], created[9]}));
+  EXPECT_TRUE(registry.agents_at(SiteId{99}).empty());  // unknown site
+  EXPECT_EQ(registry.sites_with_agents(), 3u);
+
+  // Remove from the middle, the front and the back of different buckets,
+  // then add more: new ids land at the end and the order holds.
+  registry.remove(created[3]);
+  registry.remove(created[1]);
+  registry.remove(created[11]);
+  check_all();
+  const AgentId late = registry.create(SiteId{1}).id();
+  check_all();
+  EXPECT_EQ(ids_at(registry, SiteId{1}).back(), late);
+
+  // A second remove of the same id and a remove of an unknown id are no-ops.
+  registry.remove(created[3]);
+  registry.remove(AgentId{999});
+  check_all();
+  EXPECT_EQ(registry.total_agents(), 10);
+}
+
+TEST(AgentRegistryTest, RemovingLastAgentOfSiteDropsItsBucket) {
+  sim::Simulation sim;
+  AgentRegistry registry{sim};
+  const AgentId a = registry.create(SiteId{1}).id();
+  const AgentId b = registry.create(SiteId{1}).id();
+  const AgentId c = registry.create(SiteId{2}).id();
+  EXPECT_EQ(registry.sites_with_agents(), 2u);
+
+  registry.remove(c);
+  EXPECT_TRUE(registry.agents_at(SiteId{2}).empty());
+  EXPECT_EQ(registry.sites_with_agents(), 1u);
+
+  registry.remove(a);
+  EXPECT_EQ(ids_at(registry, SiteId{1}), std::vector<AgentId>{b});
+  registry.remove(b);
+  EXPECT_TRUE(registry.agents_at(SiteId{1}).empty());
+  EXPECT_EQ(registry.sites_with_agents(), 0u);
+  EXPECT_EQ(registry.total_agents(), 0);
+
+  // A site that lost all its agents indexes fresh ones normally.
+  const AgentId d = registry.create(SiteId{2}).id();
+  EXPECT_EQ(ids_at(registry, SiteId{2}), std::vector<AgentId>{d});
+  EXPECT_EQ(registry.sites_with_agents(), 1u);
 }
 
 }  // namespace
